@@ -9,7 +9,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use hec_data::LabeledWindow;
 use hec_nn::{Activation, Dense, Layer, Mse, QuantMode, QuantizedDense, RmsProp, Sequential};
@@ -20,7 +19,7 @@ use crate::scorer::{ConfidenceRule, LogPdScorer, ThresholdRule};
 
 /// Neuron-layer sizes of an autoencoder, including input and output
 /// (`[96, 64, 96]` is the paper's "three layers").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AeArchitecture {
     /// Sizes of every neuron layer, first and last must be equal.
     pub layer_sizes: Vec<usize>,

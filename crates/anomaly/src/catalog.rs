@@ -6,14 +6,12 @@
 //! enum and the constructors that build the exact model families of the
 //! paper at configurable scale.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ae::{AeArchitecture, AutoencoderDetector};
 use crate::detector::AnomalyDetector;
 use crate::seq2seq_detector::Seq2SeqDetector;
 
 /// A layer of the K = 3 hierarchical edge computing system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HecLayer {
     /// Layer 1 — the IoT device (Raspberry Pi 3 in the paper's testbed).
     IoT,
@@ -66,7 +64,7 @@ impl std::fmt::Display for HecLayer {
 }
 
 /// Static description of a catalog model (what Table I summarises).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelSpec {
     /// Model name as printed in the paper.
     pub name: String,
@@ -150,8 +148,8 @@ impl ModelCatalog {
     /// Deployment fidelity: on-device inference reads compressed sensor
     /// buffers (IoT 3-bit, edge 4-bit input quantization) while offloaded
     /// windows reach the cloud at full fidelity — the fidelity/compute
-    /// tradeoff documented in DESIGN.md §2 that reproduces the paper's
-    /// accuracy ladder.
+    /// tradeoff (README, *Datasets*) that reproduces the paper's accuracy
+    /// ladder.
     pub fn multivariate(input_dim: usize, hidden: usize, seed: u64) -> Self {
         let mut iot = Seq2SeqDetector::iot(input_dim, hidden, seed);
         iot.set_input_bits(Some(3));

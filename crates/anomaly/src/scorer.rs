@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use hec_tensor::{Gaussian, GaussianError, Matrix};
 
 /// The paper's two *confident detection* conditions (§II-A3):
@@ -18,7 +16,7 @@ use hec_tensor::{Gaussian, GaussianError, Matrix};
 /// `factor ×` threshold (logPD is negative, so this means "much more
 /// anomalous than the border"), or **(ii)** the fraction of anomalous points
 /// exceeds `fraction`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceRule {
     /// Multiplier on the (negative) threshold for condition (i). Paper: 2.0.
     pub factor: f32,
@@ -98,7 +96,7 @@ impl From<GaussianError> for ScorerError {
 /// quantity with the tail noise averaged out — and is the default (`k = 6`).
 /// `Min` reproduces the paper's rule exactly; the threshold-rule ablation
 /// bench compares them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ThresholdRule {
     /// The paper's rule: the minimum logPD observed on the training set.
     Min,
@@ -178,7 +176,7 @@ impl ThresholdRule {
 /// assert!(scorer.log_pd(&[5.0]) < scorer.threshold());
 /// # Ok::<(), hec_anomaly::ScorerError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogPdScorer {
     gaussian: Gaussian,
     threshold: f32,

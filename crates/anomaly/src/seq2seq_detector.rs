@@ -50,7 +50,6 @@ pub struct Seq2SeqDetector {
     flag_fraction: f32,
     learning_rate: f32,
     quantization_bits: Option<u8>,
-    truncation_fraction: Option<f32>,
     input_bits: Option<u8>,
 }
 
@@ -66,7 +65,6 @@ impl Seq2SeqDetector {
             flag_fraction: 0.0,
             learning_rate: 1e-3,
             quantization_bits: None,
-            truncation_fraction: None,
             input_bits: None,
         }
     }
@@ -135,28 +133,12 @@ impl Seq2SeqDetector {
         self.quantization_bits
     }
 
-    /// Restricts the model to the first `fraction` of every window
-    /// (deployment compute budget: the IoT device cannot afford to run the
-    /// LSTM over the full 2.56 s window, see DESIGN.md §2). The evidence a
-    /// truncated deployment sees is a strict prefix of the full window, so
-    /// detection capability is monotone in the fraction by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < fraction <= 1`.
-    pub fn set_truncation_fraction(&mut self, fraction: Option<f32>) {
-        if let Some(f) = fraction {
-            assert!(f > 0.0 && f <= 1.0, "fraction must be in (0, 1]");
-        }
-        self.truncation_fraction = fraction;
-    }
-
     /// Restricts the on-device input fidelity to `bits` bits per sample
     /// (standardised range ±4 clamped and uniformly quantized). Models
     /// deployed low in the hierarchy read compressed sensor buffers, while
     /// offloaded windows travel at full fidelity — a fidelity/compute
     /// tradeoff that strictly degrades detectability (data-processing
-    /// inequality), so the capability ladder cannot invert (DESIGN.md §2).
+    /// inequality), so the capability ladder cannot invert (README, *Datasets*).
     ///
     /// # Panics
     ///
@@ -168,14 +150,9 @@ impl Seq2SeqDetector {
         self.input_bits = bits;
     }
 
-    /// Applies the deployment truncation and input quantization to a
-    /// window's timesteps.
+    /// Applies the deployment input quantization to a window's timesteps.
     fn deployed_steps(&self, window: &LabeledWindow) -> Vec<Matrix> {
         let mut steps = window.timesteps();
-        if let Some(f) = self.truncation_fraction {
-            let keep = ((steps.len() as f32 * f).round() as usize).max(2).min(steps.len());
-            steps.truncate(keep);
-        }
         if let Some(bits) = self.input_bits {
             let levels = ((1u32 << bits) - 1) as f32;
             let delta = 8.0 / levels;
@@ -306,7 +283,7 @@ impl AnomalyDetector for Seq2SeqDetector {
         // Encoder state (paper §III-B) augmented with per-channel mean/std —
         // both computable on the IoT device in one pass; the summary stats
         // compensate for the reduced fidelity of the on-device encoder input
-        // (see DESIGN.md §2).
+        // (README, *Datasets*).
         let mut ctx = self.encode_context(window);
         let n = window.data.rows() as f32;
         for c in 0..window.channels() {

@@ -11,15 +11,13 @@
 //! into a saturated layer is expensive. Load features are already in `[0, 1]`
 //! by construction and are appended after the standardised base features.
 
-use serde::{Deserialize, Serialize};
-
 /// Maps raw per-layer load gauges (queue depths, in-flight link transfers)
 /// to `[0, 1]`-scale context features via a log ramp:
 /// `f(d) = ln(1 + d) / ln(1 + cap)` clamped to `[0, 1]`.
 ///
 /// The log keeps resolution where routing decisions live (a queue of 0 vs
 /// 20 matters much more than 1800 vs 2000) while the cap pins "full" at 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadNormalizer {
     queue_caps: Vec<f64>,
     link_caps: Vec<f64>,
@@ -114,7 +112,7 @@ impl LoadNormalizer {
 /// let z = scaler.transform(&[2.0, 30.0]);
 /// assert!(z.iter().all(|v| v.abs() < 1e-6)); // the mean maps to 0
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextScaler {
     mean: Vec<f32>,
     std: Vec<f32>,

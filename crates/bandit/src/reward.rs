@@ -1,7 +1,5 @@
 //! Reward and cost functions (§II-B, Eq. 1).
 
-use serde::{Deserialize, Serialize};
-
 /// Error for a cost query with an invalid (negative or non-finite) delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvalidDelay;
@@ -20,7 +18,7 @@ impl std::error::Error for InvalidDelay {}
 ///
 /// The paper selects `α = 0.0005` for the univariate dataset and
 /// `α = 0.00035` for the multivariate dataset (§III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     alpha: f64,
 }
@@ -75,7 +73,7 @@ impl CostModel {
 /// The bandit reward `R(a, z_x) = accuracy(x) − C(a, x)` where `accuracy(x)`
 /// is the per-sample correctness (1 if the selected model's verdict matches
 /// the ground truth, else 0).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardModel {
     cost: CostModel,
 }

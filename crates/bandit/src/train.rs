@@ -7,7 +7,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use hec_nn::Adam;
 
@@ -17,7 +16,7 @@ use crate::reward::RewardModel;
 
 /// The reinforcement-comparison baseline: an exponentially-weighted running
 /// mean of observed rewards, `r̄ ← r̄ + β (r − r̄)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReinforcementComparison {
     reference: f32,
     beta: f32,
@@ -56,7 +55,7 @@ impl ReinforcementComparison {
 }
 
 /// Training hyper-parameters for [`PolicyTrainer`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Passes over the context set.
     pub epochs: usize,
@@ -93,7 +92,7 @@ impl Default for TrainConfig {
 
 /// Per-epoch mean rewards — the policy's learning curve (used by the
 /// convergence-ablation bench).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingCurve {
     /// Mean observed reward per epoch, in training order.
     pub mean_reward_per_epoch: Vec<f32>,

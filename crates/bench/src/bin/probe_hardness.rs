@@ -1,6 +1,6 @@
 //! Calibration probe: detection rate per model as a function of the
 //! walking-similarity blend — used to place each activity's hardness
-//! between the capacity tiers (DESIGN.md §2 substitution calibration).
+//! between the capacity tiers (README, *Datasets*: tier calibration).
 //!
 //! ```text
 //! cargo run --release -p hec-bench --bin probe_hardness

@@ -1,11 +1,12 @@
-//! Ablation studies over the design choices DESIGN.md §5 calls out.
+//! Ablation studies over the design choices the adaptive scheme rests on:
+//! the cost weight α, the reinforcement-comparison baseline, the bandit
+//! solver and the Successive scheme's confidence rule.
 //!
 //! All ablations run against a frozen [`Oracle`], so they isolate the knob
 //! under study from AD-model training variance.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use hec_anomaly::{ConfidenceRule, ThresholdRule};
 use hec_bandit::{
@@ -21,7 +22,7 @@ use crate::parallel::parallel_map;
 use crate::scheme::{SchemeEvaluator, SchemeKind};
 
 /// One point of the α-sensitivity sweep (cost-parameter frontier).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaSweepRow {
     /// The cost parameter α under test.
     pub alpha: f64,
@@ -83,7 +84,7 @@ pub fn alpha_sweep(
 
 /// Learning curves with and without the reinforcement-comparison baseline
 /// (paper §II-B claims the baseline improves convergence).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineAblation {
     /// Curve with the reinforcement-comparison baseline (the paper's choice).
     pub with_baseline: TrainingCurve,
@@ -118,7 +119,7 @@ pub fn baseline_ablation(
 }
 
 /// One bandit solver's online performance on the frozen oracle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverRow {
     /// Algorithm name.
     pub solver: String,
@@ -218,7 +219,7 @@ pub fn solver_comparison(
 }
 
 /// One point of the confidence-rule sweep for the Successive scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceRow {
     /// Condition (i) threshold multiplier.
     pub factor: f32,
@@ -387,7 +388,7 @@ mod tests {
 /// One row of the threshold-rule ablation: how the paper's `Min` rule, a
 /// quantile, the robust `µ−kσ` and the fixed-specificity `WindowFpr` rule
 /// shift a single detector's operating point on the same scores.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdRow {
     /// Human-readable rule label.
     pub rule: String,

@@ -23,7 +23,7 @@
 //!   trains *inside* the discrete-event simulator on observed
 //!   load-dependent delays and live queue-state context features;
 //! * [`ablation`] — α sweeps, baseline ablation, bandit-solver comparison
-//!   and confidence-rule sweeps (DESIGN.md §5);
+//!   and confidence-rule sweeps (`repro_ablation`);
 //! * [`parallel`] — scoped-thread helpers (`HEC_THREADS` override) behind
 //!   the parallel scheme evaluation and sweeps, with deterministic result
 //!   ordering;

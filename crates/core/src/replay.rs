@@ -21,17 +21,15 @@
 //! replay reproduces its results exactly (asserted in tests).
 
 use hec_bandit::{ContextScaler, PolicyNetwork, RewardModel};
-use hec_data::BinaryConfusion;
 use hec_sim::fleet::{
-    CohortSpec, DropReason, FleetScale, FleetScenario, JobEvent, LatencyHist, RouteCtx, RoutePlan,
-    ShardPlan,
+    CohortSpec, FleetScale, FleetScenario, JobEvent, RouteCtx, RoutePlan, ShardPlan,
 };
 use hec_sim::DatasetKind;
 
 use crate::oracle::Oracle;
 use crate::scheme::SchemeKind;
 use crate::sharded::run_plan;
-use crate::stream::{scheme_action_table, DropBreakdown, FleetStreamResult};
+use crate::stream::{scheme_action_table, FleetStreamResult, StreamTally};
 
 /// Windows each replay device emits: the corpus spreads over
 /// `n / 10` devices, so a million-window trace exercises a
@@ -99,59 +97,25 @@ pub fn replay_trace_sharded(
     let actions = scheme_action_table(scenario, oracle, kind, policy, scaler);
     let plan = ShardPlan::new(scenario, shards);
 
-    let mut confusion = BinaryConfusion::new();
-    let mut missed = 0u64;
-    let mut reward_sum = 0.0f64;
-    let mut routed = 0u64;
-    let mut routed_latency = LatencyHist::new();
-    let mut drop_counts = vec![[0u64; 2]; scenario.topology().num_layers()];
-
+    let mut tally = StreamTally::new(oracle, reward, scenario.topology().num_layers());
     let router = |ctx: &RouteCtx| actions[(ctx.seq % n) as usize];
     let run = run_plan(&plan, &router, &mut |ev| match *ev {
         JobEvent::Served { seq, layer, latency_ms, .. } => {
-            let i = (seq % n) as usize;
-            confusion.record(oracle.verdict(i, layer), oracle.outcomes[i].truth);
-            reward_sum += reward.reward_outcome(oracle.correct(i, layer), Some(latency_ms));
-            routed_latency.record(latency_ms);
-            routed += 1;
+            tally.served((seq % n) as usize, layer, latency_ms);
         }
         JobEvent::Dropped { layer, reason, .. } => {
-            let cause = match reason {
-                DropReason::QueueFull => 0,
-                DropReason::LinkSaturated => 1,
-            };
-            drop_counts[layer][cause] += 1;
-            missed += 1;
-            reward_sum += reward.reward_dropped();
-            routed += 1;
+            tally.dropped(layer, reason);
+            tally.missed();
         }
     });
 
-    let fleet = run.report;
-    let drops: Vec<DropBreakdown> = drop_counts
-        .iter()
-        .enumerate()
-        .map(|(layer, c)| DropBreakdown { layer, queue: c[0], link: c[1] })
-        .collect();
-    let total_drops: u64 = drops.iter().map(|d| d.queue + d.link).sum();
-    debug_assert_eq!(total_drops, fleet.dropped, "drop breakdown diverged from the fleet report");
-    debug_assert_eq!(fleet.served + fleet.dropped, fleet.emitted, "window conservation violated");
+    let result = tally.finish(kind, run.report);
     if hec_telemetry::ENABLED {
         let scheme = kind.to_string();
-        hec_telemetry::counter_add("replay.windows", &[("scheme", &scheme)], fleet.emitted);
-        hec_telemetry::counter_add("replay.missed", &[("scheme", &scheme)], missed);
+        hec_telemetry::counter_add("replay.windows", &[("scheme", &scheme)], result.fleet.emitted);
+        hec_telemetry::counter_add("replay.missed", &[("scheme", &scheme)], result.missed);
     }
-    let mean_reward_x100 = 100.0 * reward_sum / routed.max(1) as f64;
-    FleetStreamResult {
-        scheme: kind,
-        fleet,
-        confusion,
-        missed,
-        drops,
-        mean_reward_x100,
-        routed_mean_ms: routed_latency.mean(),
-        routed_p99_ms: routed_latency.quantile(0.99),
-    }
+    result
 }
 
 #[cfg(test)]

@@ -1,13 +1,11 @@
 //! Table rows and ASCII rendering for the reproduction harness.
 
-use serde::{Deserialize, Serialize};
-
 use hec_anomaly::HecLayer;
 
 use crate::scheme::SchemeKind;
 
 /// One row of Table I (per-model comparison).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Model name (AE-IoT, …, BiLSTM-seq2seq-Cloud).
     pub model: String,
@@ -24,7 +22,7 @@ pub struct Table1Row {
 }
 
 /// One row of Table II (per-scheme comparison).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// The model-selection scheme.
     pub scheme: SchemeKind,

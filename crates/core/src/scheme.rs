@@ -6,8 +6,6 @@
 //! successively until reaching a confident output or the cloud, and
 //! (5) Adaptive which is our proposed adaptive model selection scheme."*
 
-use serde::{Deserialize, Serialize};
-
 use hec_bandit::{ContextScaler, PolicyNetwork, RewardModel};
 use hec_data::BinaryConfusion;
 use hec_sim::HecTopology;
@@ -21,7 +19,7 @@ use crate::parallel::parallel_map_range_grained;
 const WINDOWS_PER_WORKER: usize = 256;
 
 /// A model-selection scheme under evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// Always detect on the IoT device (layer 0).
     IoTDevice,

@@ -28,8 +28,6 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 use hec_bandit::{ContextScaler, LoadNormalizer, PolicyNetwork, RewardModel};
 use hec_data::BinaryConfusion;
 use hec_sim::fleet::{
@@ -41,7 +39,7 @@ use crate::oracle::Oracle;
 use crate::scheme::{SchemeEvaluator, SchemeKind};
 
 /// One row of the Fig. 3b panel: the state after processing window `index`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamRecord {
     /// Stream position (window index).
     pub index: usize,
@@ -337,6 +335,105 @@ impl FleetRouterMode<'_> {
     }
 }
 
+/// The served/dropped accounting both fleet drivers share
+/// ([`stream_through_fleet`] and [`crate::replay::replay_trace_sharded`]):
+/// scores each scheme-routed outcome against the oracle, tallies every
+/// drop by layer and cause, and checks the run's conservation laws once
+/// at the end.
+pub(crate) struct StreamTally<'a> {
+    oracle: &'a Oracle,
+    reward: &'a RewardModel,
+    confusion: BinaryConfusion,
+    missed: u64,
+    reward_sum: f64,
+    routed_latency: LatencyHist,
+    /// Drops by layer and cause (`[queue, link]`), background included.
+    drop_counts: Vec<[u64; 2]>,
+}
+
+impl<'a> StreamTally<'a> {
+    /// An empty tally for a `layers`-layer fleet.
+    pub(crate) fn new(oracle: &'a Oracle, reward: &'a RewardModel, layers: usize) -> Self {
+        Self {
+            oracle,
+            reward,
+            confusion: BinaryConfusion::new(),
+            missed: 0,
+            reward_sum: 0.0,
+            routed_latency: LatencyHist::new(),
+            drop_counts: vec![[0; 2]; layers],
+        }
+    }
+
+    /// Scores oracle window `i`, served at `layer` after `latency_ms`.
+    #[inline]
+    pub(crate) fn served(&mut self, i: usize, layer: usize, latency_ms: f64) {
+        let oracle = self.oracle;
+        self.confusion.record(oracle.verdict(i, layer), oracle.outcomes[i].truth);
+        self.reward_sum += self.reward.reward_outcome(oracle.correct(i, layer), Some(latency_ms));
+        self.routed_latency.record(latency_ms);
+    }
+
+    /// Counts one drop at `layer` (any window, background included).
+    #[inline]
+    pub(crate) fn dropped(&mut self, layer: usize, reason: DropReason) {
+        let cause = match reason {
+            DropReason::QueueFull => 0,
+            DropReason::LinkSaturated => 1,
+        };
+        self.drop_counts[layer][cause] += 1;
+    }
+
+    /// Scores a scheme-routed window that was dropped: it pays the drop
+    /// penalty.
+    #[inline]
+    pub(crate) fn missed(&mut self) {
+        self.missed += 1;
+        self.reward_sum += self.reward.reward_dropped();
+    }
+
+    /// Closes the run against the fleet's own report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the drop breakdown does not sum to the report's drops,
+    /// or the report breaks window conservation (`served + dropped ==
+    /// emitted`).
+    pub(crate) fn finish(self, scheme: SchemeKind, fleet: FleetReport) -> FleetStreamResult {
+        let drops: Vec<DropBreakdown> = self
+            .drop_counts
+            .iter()
+            .enumerate()
+            .map(|(layer, c)| DropBreakdown { layer, queue: c[0], link: c[1] })
+            .collect();
+        let total_drops: u64 = drops.iter().map(|d| d.queue + d.link).sum();
+        assert_eq!(
+            total_drops, fleet.dropped,
+            "drop breakdown ({total_drops} windows) diverged from the fleet report ({} dropped)",
+            fleet.dropped
+        );
+        assert_eq!(
+            fleet.served + fleet.dropped,
+            fleet.emitted,
+            "window conservation violated: {} served + {} dropped != {} emitted",
+            fleet.served,
+            fleet.dropped,
+            fleet.emitted
+        );
+        let routed = self.confusion.total() as u64 + self.missed;
+        FleetStreamResult {
+            scheme,
+            fleet,
+            confusion: self.confusion,
+            missed: self.missed,
+            drops,
+            mean_reward_x100: 100.0 * self.reward_sum / routed.max(1) as f64,
+            routed_mean_ms: self.routed_latency.mean(),
+            routed_p99_ms: self.routed_latency.quantile(0.99),
+        }
+    }
+}
+
 /// Streams the corpus through the discrete-event fleet simulator under a
 /// scheme: every scheme-routed window maps to an oracle window (in
 /// emission order, round-robin over the corpus), the scheme chooses its
@@ -414,14 +511,7 @@ pub fn stream_through_fleet(
         (_, p) => FleetRouterMode::Table(scheme_action_table(scenario, oracle, kind, p, scaler)),
     };
 
-    let mut confusion = BinaryConfusion::new();
-    let mut missed = 0u64;
-    let mut reward_sum = 0.0f64;
-    let mut routed = 0u64;
-    let mut routed_latency = LatencyHist::new();
-    // Every drop of the run, by layer and cause — background cohorts
-    // included, so the totals reconcile against the fleet report.
-    let mut drop_counts = vec![[0u64; 2]; scenario.topology().num_layers()];
+    let mut tally = StreamTally::new(oracle, reward, scenario.topology().num_layers());
     // Oracle index of each scheme-routed window, by sequence number
     // (`u32::MAX` = background window, not scored). Only needed when a
     // probe cohort leaves background windows interleaved in the stream.
@@ -463,39 +553,22 @@ pub fn stream_through_fleet(
         };
         match ev {
             JobEvent::Served { seq, layer, latency_ms, .. } => {
-                let Some(i) = index_of(seq) else { continue };
-                confusion.record(oracle.verdict(i, layer), oracle.outcomes[i].truth);
-                reward_sum += reward.reward_outcome(oracle.correct(i, layer), Some(latency_ms));
-                routed_latency.record(latency_ms);
-                routed += 1;
+                if let Some(i) = index_of(seq) {
+                    tally.served(i, layer, latency_ms);
+                }
             }
             JobEvent::Dropped { seq, layer, reason, .. } => {
-                let cause = match reason {
-                    DropReason::QueueFull => 0,
-                    DropReason::LinkSaturated => 1,
-                };
-                drop_counts[layer][cause] += 1;
-                if index_of(seq).is_none() {
-                    continue;
+                tally.dropped(layer, reason);
+                if index_of(seq).is_some() {
+                    tally.missed();
                 }
-                missed += 1;
-                reward_sum += reward.reward_dropped();
-                routed += 1;
             }
         }
     }
-    let fleet = engine.report();
-    let drops: Vec<DropBreakdown> = drop_counts
-        .iter()
-        .enumerate()
-        .map(|(layer, c)| DropBreakdown { layer, queue: c[0], link: c[1] })
-        .collect();
-    let total_drops: u64 = drops.iter().map(|d| d.queue + d.link).sum();
-    debug_assert_eq!(total_drops, fleet.dropped, "drop breakdown diverged from the fleet report");
-    debug_assert_eq!(fleet.served + fleet.dropped, fleet.emitted, "window conservation violated");
+    let result = tally.finish(kind, engine.report());
     if hec_telemetry::ENABLED {
         let scheme = kind.to_string();
-        for d in &drops {
+        for d in &result.drops {
             let layer = d.layer.to_string();
             if d.queue > 0 {
                 hec_telemetry::counter_add(
@@ -512,20 +585,11 @@ pub fn stream_through_fleet(
                 );
             }
         }
-        hec_telemetry::counter_add("stream.missed", &[("scheme", &scheme)], missed);
+        let routed = result.confusion.total() as u64 + result.missed;
+        hec_telemetry::counter_add("stream.missed", &[("scheme", &scheme)], result.missed);
         hec_telemetry::counter_add("stream.routed", &[("scheme", &scheme)], routed);
     }
-    let mean_reward_x100 = 100.0 * reward_sum / routed.max(1) as f64;
-    FleetStreamResult {
-        scheme: kind,
-        fleet,
-        confusion,
-        missed,
-        drops,
-        mean_reward_x100,
-        routed_mean_ms: routed_latency.mean(),
-        routed_p99_ms: routed_latency.quantile(0.99),
-    }
+    result
 }
 
 /// Renders per-scheme fleet streaming results as CSV: one row per scheme

@@ -3,9 +3,9 @@
 //! Synthetic IoT datasets, windowing, standardisation, splits and metrics for
 //! the HEC-AD reproduction.
 //!
-//! The paper evaluates on two public datasets that we substitute with
-//! faithful synthetic generators (see DESIGN.md §2 for the substitution
-//! rationale):
+//! The paper evaluates on two public datasets that are not
+//! redistributable, so they are substituted with faithful synthetic
+//! generators (README, *Datasets*):
 //!
 //! * [`power`] — a univariate **power-demand** generator modelled on the
 //!   Dutch power-demand dataset (UCR discords): one year of 15-minute

@@ -1,7 +1,5 @@
 //! Binary classification metrics: confusion matrix, accuracy, F1.
 
-use serde::{Deserialize, Serialize};
-
 /// A binary confusion matrix where "positive" = anomalous.
 ///
 /// # Example
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// );
 /// assert_eq!(c.accuracy(), 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BinaryConfusion {
     /// True positives: predicted anomalous, actually anomalous.
     pub tp: usize,

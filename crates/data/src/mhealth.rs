@@ -17,7 +17,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use hec_tensor::Matrix;
 
@@ -27,7 +26,7 @@ use crate::window::{sliding_windows, LabeledWindow};
 pub const CHANNELS: usize = 18;
 
 /// The 12 MHEALTH activities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activity {
     /// Standing still (near-DC signals).
     Standing,
@@ -142,7 +141,7 @@ impl Activity {
 }
 
 /// Configuration for [`MhealthGenerator`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MhealthConfig {
     /// Number of subjects (default 10, as in MHEALTH).
     pub subjects: usize,

@@ -24,14 +24,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use hec_tensor::Matrix;
 
 use crate::window::LabeledWindow;
 
 /// Anomaly hardness tiers for the synthetic power data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnomalyKind {
     /// Weekend-shaped collapse of the whole day (easy to detect).
     Holiday,
@@ -57,7 +56,7 @@ impl AnomalyKind {
 }
 
 /// Configuration for [`PowerGenerator`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerConfig {
     /// Number of weekday samples to generate.
     pub days: usize,

@@ -1,7 +1,5 @@
 //! Per-channel zero-mean/unit-variance standardisation.
 
-use serde::{Deserialize, Serialize};
-
 use hec_tensor::Matrix;
 
 /// A non-finite sample (NaN or ±∞) found where finite data is required.
@@ -62,7 +60,7 @@ pub(crate) fn first_non_finite(data: &Matrix) -> Option<NonFiniteError> {
 /// let z = s.transform(&train);
 /// assert!(z.col(0).iter().sum::<f32>().abs() < 1e-5); // zero mean
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Standardizer {
     mean: Vec<f32>,
     std: Vec<f32>,

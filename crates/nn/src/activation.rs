@@ -1,7 +1,5 @@
 //! Element-wise activation functions and their derivatives.
 
-use serde::{Deserialize, Serialize};
-
 use hec_tensor::Matrix;
 
 /// Element-wise activation applied by a [`crate::Dense`] layer.
@@ -9,7 +7,7 @@ use hec_tensor::Matrix;
 /// The derivative is expressed in terms of the *activated output* `y = f(x)`,
 /// which is what the backward pass has cached (this is exact for all four
 /// variants: linear, sigmoid, tanh and ReLU).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Activation {
     /// Identity: `f(x) = x`.
     #[default]

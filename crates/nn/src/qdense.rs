@@ -121,11 +121,6 @@ impl QuantizedDense {
         self.mode
     }
 
-    /// The quantised kernel (transposed, `out_dim × in_dim`).
-    pub fn weight_q(&self) -> &QuantizedMatrix {
-        &self.wq
-    }
-
     /// Pre-activation `x·W̃ + b` into a caller-owned buffer (resized in
     /// place). Allocation-free once `out`, the activation-code buffer and
     /// the kernel scratch have grown to the workload's shape.

@@ -9,10 +9,8 @@
 //!   (`2 × params × steps / effective_flops`) for models we size ourselves
 //!   (ablations, custom catalogs).
 
-use serde::{Deserialize, Serialize};
-
 /// A machine in the testbed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable name ("Raspberry Pi 3", …).
     pub name: String,
@@ -65,7 +63,7 @@ impl DeviceProfile {
 }
 
 /// How a layer's per-inference execution time is obtained.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ExecTimeModel {
     /// A fixed measured time in milliseconds (the paper's Table I values).
     Calibrated {

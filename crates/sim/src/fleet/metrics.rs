@@ -134,8 +134,8 @@ impl FleetReport {
         out
     }
 
-    /// Per-layer results as CSV (vendored serde derives are no-ops, so the
-    /// rows are emitted manually).
+    /// Per-layer results as CSV (the workspace has no serialisation
+    /// library, so the rows are emitted manually).
     pub fn layers_csv(&self) -> String {
         let mut out = String::from(
             "scenario,layer,name,offered,served,dropped_queue,dropped_link,drop_rate,\

@@ -1,14 +1,14 @@
 //! Discrete-event fleet simulation: stream millions of windows from a
 //! device fleet through the 3-layer HEC hierarchy.
 //!
-//! The per-job [`crate::runtime`] models a *single* device and charges
-//! each window the load-independent [`HecTopology::end_to_end_ms`]
-//! delay, so offloading never queues and links never saturate. This
-//! module scales the testbed out: **N** IoT devices (hundreds of
-//! thousands and up) emit windows at configurable rates into per-layer
-//! service queues and bandwidth-shared links, making detection delay
-//! load-dependent — the quantity the paper's adaptive scheme actually
-//! trades off against accuracy.
+//! The analytic [`HecTopology::end_to_end_ms`] model charges a *single*
+//! device's window a load-independent delay, so offloading never queues
+//! and links never saturate. This module scales the testbed out: **N**
+//! IoT devices (hundreds of thousands and up) emit windows at
+//! configurable rates into per-layer service queues and bandwidth-shared
+//! links, making detection delay load-dependent — the quantity the
+//! paper's adaptive scheme actually trades off against accuracy. At zero
+//! load every served window's latency is exactly the analytic delay.
 //!
 //! * [`queueing`] — contention primitives: bounded multi-server FIFO
 //!   with batch dequeue, egalitarian processor sharing (credit-based,

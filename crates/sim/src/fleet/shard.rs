@@ -206,16 +206,6 @@ impl ShardPlan {
         &self.scenario
     }
 
-    /// Shard `s`'s derived sub-scenario (its device counts and `1/S`
-    /// resource bounds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    pub fn shard_scenario(&self, s: usize) -> &FleetScenario {
-        &self.shards[s].scenario
-    }
-
     /// Shard `s`'s device slices, one per cohort in cohort order.
     ///
     /// # Panics

@@ -8,10 +8,9 @@
 //! default to delay-only links and expose bandwidth/jitter for ablations.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A (round-trip) network path between the IoT device and a higher layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// Round-trip propagation delay in milliseconds.
     pub rtt_ms: f64,

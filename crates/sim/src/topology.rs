@@ -1,13 +1,11 @@
 //! The assembled HEC testbed and its end-to-end delay model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::{DeviceProfile, ExecTimeModel};
 use crate::network::Link;
 
 /// Which of the paper's two dataset families a topology is calibrated for
 /// (they deploy different models, hence different execution times).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Power-demand data, autoencoder models (Table I left half).
     Univariate,
@@ -35,7 +33,7 @@ impl DatasetKind {
 
 /// One layer of the testbed: its device, the deployed model's execution-time
 /// model and the network path from the IoT device to it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerSpec {
     /// The machine at this layer.
     pub device: DeviceProfile,
@@ -57,7 +55,7 @@ pub struct LayerSpec {
 /// let d = topo.end_to_end_ms(2, 384);
 /// assert!((d - 504.5).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HecTopology {
     layers: Vec<LayerSpec>,
 }

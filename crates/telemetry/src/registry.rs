@@ -174,7 +174,7 @@ pub struct Snapshot {
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars) —
-/// the vendored serde stub has no-op derives, so JSON is hand-rendered.
+/// the workspace has no JSON library, so JSON is hand-rendered.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A dense, row-major `f32` matrix.
 ///
 /// # Example
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.cols(), 3);
 /// assert_eq!(m[(1, 2)], 0.0);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -162,11 +160,6 @@ impl Matrix {
     /// Mutable flat row-major view of the data.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns the flat row-major buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Borrows row `r` as a slice.
@@ -943,19 +936,5 @@ mod tests {
     fn debug_is_nonempty() {
         let a = Matrix::ones(1, 1);
         assert!(!format!("{a:?}").is_empty());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let json = serde_json_like(&a);
-        assert!(json.contains("rows"));
-    }
-
-    // serde smoke test without pulling serde_json: use the Debug of the
-    // Serialize impl via bincode-like manual check. We only check the derive
-    // compiles and fields are accessible, so this is a compile-time guarantee.
-    fn serde_json_like(m: &Matrix) -> String {
-        format!("rows={} cols={} n={}", m.rows(), m.cols(), m.len())
     }
 }

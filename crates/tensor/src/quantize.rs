@@ -33,7 +33,7 @@
 //! 8 bits they now round-trip through [`QuantizedMatrix::quantize_symmetric`]
 //! (bit-identical to the old `round(x/Δ)·Δ` grid, `Δ = max|x|/127`); other
 //! bit widths keep the fake-quant grid and are **simulation-only** — they
-//! model the capability gap between deployment tiers (DESIGN.md §2) and
+//! model the capability gap between deployment tiers (README, *Datasets*) and
 //! never touch the integer kernels.
 
 use std::cell::RefCell;

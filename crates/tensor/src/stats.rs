@@ -9,12 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Matrix;
 
 /// Error fitting or evaluating a [`Gaussian`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GaussianError {
     /// Fewer than two samples were provided.
     NotEnoughSamples {
@@ -67,7 +65,7 @@ impl std::error::Error for GaussianError {}
 /// assert!(g.log_pdf(&[0.0, 0.0])? > g.log_pdf(&[5.0, 5.0])?);
 /// # Ok::<(), hec_tensor::GaussianError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gaussian {
     mean: Vec<f32>,
     /// Lower-triangular Cholesky factor of the regularised covariance.

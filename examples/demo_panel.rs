@@ -1,8 +1,8 @@
 //! A terminal rendition of the paper's demo GUI (Fig. 3): stream the test
-//! corpus through the HEC runtime, print the live panel rows (outcome vs
-//! truth, delay vs action, cumulative accuracy/F1) and a final summary —
-//! including the threaded message-passing runtime standing in for the
-//! testbed's keep-alive TCP sockets.
+//! corpus through the adaptive scheme, print the live panel rows (outcome
+//! vs truth, delay vs action, cumulative accuracy/F1) and a final summary.
+//! Each window's delay is the testbed's end-to-end delay (transfer +
+//! execution) at the layer the policy chose.
 //!
 //! ```text
 //! cargo run --release --example demo_panel
@@ -12,7 +12,6 @@ use hec_ad::bandit::RewardModel;
 use hec_ad::core::stream::stream_records;
 use hec_ad::core::{DatasetConfig, Experiment, ExperimentConfig, SchemeEvaluator, SchemeKind};
 use hec_ad::data::power::PowerConfig;
-use hec_ad::sim::{DetectJob, HecRuntime};
 
 fn main() {
     let config = ExperimentConfig {
@@ -42,32 +41,17 @@ fn main() {
     let records =
         stream_records(&ev, &oracle, SchemeKind::Adaptive, Some(&mut policy), Some(&scaler));
 
-    // Replay the chosen actions through the threaded runtime, as the demo
-    // testbed would: each job is routed to its layer's worker over channels.
-    let verdicts: Vec<bool> = records.iter().map(|r| r.predicted).collect();
-    let executors: Vec<_> = (0..3)
-        .map(|_| {
-            let v = verdicts.clone();
-            Box::new(move |id: u64| v[id as usize]) as _
-        })
-        .collect();
-    let runtime = HecRuntime::spawn(exp.topology().clone(), executors);
-    for r in &records {
-        runtime.submit(DetectJob { id: r.index as u64, layer: r.action, payload_bytes: payload });
-    }
-    let results = runtime.shutdown();
-
     println!("┌──────┬───────┬──────┬────────┬───────────┬─────────┬────────┐");
     println!("│  #   │ truth │ pred │ action │ delay(ms) │ cum.acc │ cum.F1 │");
     println!("├──────┼───────┼──────┼────────┼───────────┼─────────┼────────┤");
-    for (r, job) in records.iter().zip(results.iter()).take(25) {
+    for r in records.iter().take(25) {
         println!(
             "│ {:>4} │   {}   │  {}   │ {:<6} │ {:>9.1} │  {:>5.3}  │ {:>5.3}  │",
             r.index,
             r.truth as u8,
             r.predicted as u8,
             ["IoT", "Edge", "Cloud"][r.action],
-            job.e2e_ms,
+            r.delay_ms,
             r.cumulative_accuracy,
             r.cumulative_f1
         );
@@ -78,7 +62,7 @@ fn main() {
     }
 
     let last = records.last().expect("non-empty stream");
-    let mean_delay: f64 = results.iter().map(|r| r.e2e_ms).sum::<f64>() / results.len() as f64;
+    let mean_delay: f64 = records.iter().map(|r| r.delay_ms).sum::<f64>() / records.len() as f64;
     let mut hist = [0usize; 3];
     for r in &records {
         hist[r.action] += 1;

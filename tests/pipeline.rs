@@ -3,9 +3,15 @@
 //! The configuration comes from `hec-bench`'s shared profiles, honoring
 //! `HEC_PROFILE` with a `quick` default so `cargo test` stays seconds-scale
 //! (`HEC_PROFILE=full cargo test` runs the release-sized experiment).
+//! The last test drives all five schemes over a synthetic oracle, with no
+//! trained models.
 
-use hec_ad::core::{DatasetConfig, Experiment, ExperimentConfig, SchemeKind};
-use hec_ad::sim::DatasetKind;
+use hec_ad::anomaly::ConfidenceRule;
+use hec_ad::bandit::RewardModel;
+use hec_ad::core::{
+    DatasetConfig, Experiment, ExperimentConfig, Oracle, SchemeEvaluator, SchemeKind, WindowOutcome,
+};
+use hec_ad::sim::{DatasetKind, HecTopology};
 use hec_bench::{univariate_config, Profile};
 
 fn tiny_univariate(seed: u64) -> ExperimentConfig {
@@ -111,4 +117,44 @@ fn stage_api_exposes_split_sizes() {
     exp.train_detectors();
     let t1 = exp.table1();
     assert!(t1.iter().all(|r| r.accuracy_pct >= 0.0 && r.accuracy_pct <= 100.0));
+}
+
+fn synthetic_oracle(n: usize) -> Oracle {
+    let outcomes = (0..n)
+        .map(|i| {
+            let truth = i % 5 == 0;
+            WindowOutcome {
+                truth,
+                min_log_pd: [if truth { -40.0 } else { -2.0 }; 3],
+                anomalous_fraction: [if truth { 0.3 } else { 0.0 }; 3],
+                context: vec![i as f32 % 7.0, truth as u8 as f32],
+            }
+        })
+        .collect();
+    Oracle {
+        outcomes,
+        thresholds: [-10.0; 3],
+        flag_fraction: 0.0,
+        confidence: ConfidenceRule::default(),
+    }
+}
+
+#[test]
+fn all_five_schemes_run_on_synthetic_oracle() {
+    let topo = HecTopology::paper_testbed(DatasetKind::Univariate);
+    let oracle = synthetic_oracle(50);
+    let ev = SchemeEvaluator::new(&topo, 384, RewardModel::new(0.0005));
+
+    use hec_ad::bandit::{ContextScaler, PolicyNetwork};
+    let scaler = ContextScaler::fit(&oracle.contexts());
+    let mut policy = PolicyNetwork::new(2, 16, 3, 0);
+
+    for kind in SchemeKind::ALL {
+        let result = match kind {
+            SchemeKind::Adaptive => ev.evaluate(kind, &oracle, Some(&mut policy), Some(&scaler)),
+            _ => ev.evaluate(kind, &oracle, None, None),
+        };
+        assert_eq!(result.confusion.total(), 50, "{kind} did not cover the corpus");
+        assert!(result.mean_delay_ms > 0.0);
+    }
 }

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 
 use hec_ad::bandit::{CostModel, PolicyNetwork};
 use hec_ad::data::BinaryConfusion;
+use hec_ad::sim::fleet::{CohortSpec, FleetScale, FleetScenario, FleetSim, JobEvent, RoutePlan};
 use hec_ad::sim::{DatasetKind, EventQueue, HecTopology};
 use hec_ad::tensor::{vecops, Matrix, QuantScheme, QuantizedMatrix};
 
@@ -218,6 +219,44 @@ proptest! {
         let delta = max_abs / levels;
         for (a, b) in m.as_slice().iter().zip(q.as_slice().iter()) {
             prop_assert!((a - b).abs() <= delta / 2.0 + 1e-5);
+        }
+    }
+}
+
+/// At zero load the fleet DES adds no queueing: for each dataset and
+/// layer, every window routed to a fixed layer is served there with
+/// exactly the analytic [`HecTopology::end_to_end_ms`] delay.
+#[test]
+fn zero_load_fleet_latency_matches_the_topology_delay_ladder() {
+    for (kind, payload) in [(DatasetKind::Univariate, 384), (DatasetKind::Multivariate, 9216)] {
+        let topo = HecTopology::paper_testbed(kind);
+        for layer in 0..topo.num_layers() {
+            let expected = topo.end_to_end_ms(layer, payload);
+            let mut sc = FleetScenario::light_load(FleetScale::Quick);
+            sc.kind = kind;
+            sc.payload_bytes = payload;
+            sc.cohorts = vec![CohortSpec::uniform(4, 5, 60_000.0, 0.0, RoutePlan::Fixed(layer))];
+            let mut served = 0u64;
+            let report = FleetSim::new(&sc).run_with(
+                &mut |ctx| sc.planned_layer(ctx.cohort, ctx.seq),
+                &mut |ev| match *ev {
+                    JobEvent::Served { seq, layer: at, latency_ms, .. } => {
+                        served += 1;
+                        assert_eq!(at, layer, "{kind:?} window {seq} served off its route");
+                        assert!(
+                            (latency_ms - expected).abs() < 1e-9,
+                            "{kind:?} layer {layer} window {seq}: {latency_ms} ms vs {expected} ms"
+                        );
+                    }
+                    JobEvent::Dropped { seq, .. } => {
+                        panic!("{kind:?} layer {layer}: window {seq} dropped at zero load")
+                    }
+                },
+            );
+            assert_eq!(report.emitted, 20);
+            assert_eq!(report.served, report.emitted);
+            assert_eq!(served, report.emitted);
+            assert_eq!(report.layers[layer].served, report.emitted);
         }
     }
 }
